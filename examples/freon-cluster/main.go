@@ -88,12 +88,11 @@ fiddle machine3 temperature inlet 35.6
 		}
 
 		// This second's arrivals through the balancer.
-		var batch []mercury.Request
+		first := reqIdx
 		for reqIdx < len(requests) && requests[reqIdx].At < now+time.Second {
-			batch = append(batch, requests[reqIdx])
 			reqIdx++
 		}
-		cluster.TickSecond(batch)
+		cluster.TickSecond(requests[first:reqIdx])
 
 		// Utilizations feed the thermal model (monitord's role).
 		for _, m := range machines {

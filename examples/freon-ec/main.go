@@ -77,12 +77,11 @@ fiddle machine3 temperature inlet 35.6
 			}
 			nextOp++
 		}
-		var batch []mercury.Request
+		first := reqIdx
 		for reqIdx < len(requests) && requests[reqIdx].At < now+time.Second {
-			batch = append(batch, requests[reqIdx])
 			reqIdx++
 		}
-		cluster.TickSecond(batch)
+		cluster.TickSecond(requests[first:reqIdx])
 		for _, m := range machines {
 			utils, err := cluster.Utilizations(m)
 			if err != nil {

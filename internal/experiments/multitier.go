@@ -68,13 +68,12 @@ func MultiTier() (*Result, error) {
 				return nil, err
 			}
 		}
-		var batch []workload.Request
+		first := idx
 		limit := time.Duration(sec+1) * time.Second
 		for idx < len(reqs) && reqs[idx].At < limit {
-			batch = append(batch, reqs[idx])
 			idx++
 		}
-		tick := tt.TickSecond(batch)
+		tick := tt.TickSecond(reqs[first:idx])
 		feed := func(per map[string]webcluster.ServerTick) error {
 			for m, st := range per {
 				if err := sol.SetUtilization(m, model.UtilCPU, st.CPUUtil); err != nil {

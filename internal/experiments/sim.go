@@ -172,12 +172,11 @@ func (s *Sim) Run(duration time.Duration) error {
 		}
 
 		limit := now + time.Second
-		var batch []workload.Request
+		first := s.reqIdx
 		for s.reqIdx < len(s.Requests) && s.Requests[s.reqIdx].At < limit {
-			batch = append(batch, s.Requests[s.reqIdx])
 			s.reqIdx++
 		}
-		tick := s.Cluster.TickSecond(batch)
+		tick := s.Cluster.TickSecond(s.Requests[first:s.reqIdx])
 
 		// Feed the tick's utilizations to the thermal model, the role
 		// monitord plays on a live system.

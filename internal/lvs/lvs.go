@@ -11,6 +11,7 @@ package lvs
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -37,14 +38,16 @@ type serverState struct {
 // Balancer is a weighted least-connections scheduler. Safe for
 // concurrent use.
 type Balancer struct {
-	mu      sync.Mutex
-	servers map[string]*serverState
-	order   []string // deterministic tie-breaking
+	mu     sync.Mutex
+	byName map[string]*serverState
+	// servers is registration order: scheduling scans it and breaks
+	// ties toward the earliest-registered server.
+	servers []*serverState
 }
 
 // New creates an empty balancer.
 func New() *Balancer {
-	return &Balancer{servers: map[string]*serverState{}}
+	return &Balancer{byName: map[string]*serverState{}}
 }
 
 // AddServer registers a server with the given weight (must be > 0).
@@ -57,11 +60,12 @@ func (b *Balancer) AddServer(name string, weight float64) error {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if _, dup := b.servers[name]; dup {
+	if _, dup := b.byName[name]; dup {
 		return fmt.Errorf("lvs: server %q already registered", name)
 	}
-	b.servers[name] = &serverState{name: name, weight: weight}
-	b.order = append(b.order, name)
+	s := &serverState{name: name, weight: weight}
+	b.byName[name] = s
+	b.servers = append(b.servers, s)
 	return nil
 }
 
@@ -69,21 +73,17 @@ func (b *Balancer) AddServer(name string, weight float64) error {
 func (b *Balancer) RemoveServer(name string) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if _, ok := b.servers[name]; !ok {
-		return fmt.Errorf("lvs: unknown server %q", name)
+	s, err := b.server(name)
+	if err != nil {
+		return err
 	}
-	delete(b.servers, name)
-	for i, n := range b.order {
-		if n == name {
-			b.order = append(b.order[:i], b.order[i+1:]...)
-			break
-		}
-	}
+	delete(b.byName, name)
+	b.servers = slices.DeleteFunc(b.servers, func(o *serverState) bool { return o == s })
 	return nil
 }
 
 func (b *Balancer) server(name string) (*serverState, error) {
-	s, ok := b.servers[name]
+	s, ok := b.byName[name]
 	if !ok {
 		return nil, fmt.Errorf("lvs: unknown server %q", name)
 	}
@@ -207,7 +207,11 @@ func (b *Balancer) Assigned(name string) (uint64, error) {
 func (b *Balancer) Servers() []string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return append([]string(nil), b.order...)
+	names := make([]string, len(b.servers))
+	for i, s := range b.servers {
+		names[i] = s.name
+	}
+	return names
 }
 
 // Assign picks the eligible server with the smallest active/weight
@@ -225,12 +229,11 @@ func (b *Balancer) AssignClass(class string) (string, error) {
 	defer b.mu.Unlock()
 	var best *serverState
 	var bestRatio float64
-	for _, name := range b.order {
-		s := b.servers[name]
+	for _, s := range b.servers {
 		if s.quiesced || s.weight <= 0 {
 			continue
 		}
-		if class != "" && s.blocked[class] {
+		if class != "" && len(s.blocked) > 0 && s.blocked[class] {
 			continue
 		}
 		if s.connCap > 0 && s.active >= s.connCap {
@@ -326,8 +329,8 @@ func (b *Balancer) TotalWeight() float64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	var sum float64
-	for _, name := range b.order {
-		if s := b.servers[name]; !s.quiesced {
+	for _, s := range b.servers {
+		if !s.quiesced {
 			sum += s.weight
 		}
 	}

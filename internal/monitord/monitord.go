@@ -40,6 +40,12 @@ type Daemon struct {
 
 	mu       sync.Mutex
 	lastUtil map[model.UtilSource]float64
+
+	// sampleMu serializes SampleOnce, which encodes every single-machine
+	// update through the reused upd and buf.
+	sampleMu sync.Mutex
+	upd      wire.UtilUpdate
+	buf      []byte
 }
 
 // BatchMachine is one machine of a batched daemon: its model name and
@@ -134,6 +140,8 @@ func New(cfg Config) (*Daemon, error) {
 // the sample span's context rides in the datagram so the solver's
 // apply (and anything it causes) links back here.
 func (d *Daemon) SampleOnce() error {
+	d.sampleMu.Lock()
+	defer d.sampleMu.Unlock()
 	if len(d.batch) > 0 {
 		return d.sampleBatch()
 	}
@@ -212,7 +220,8 @@ func (d *Daemon) sampleSingle() error {
 	d.seq++
 	seq := d.seq
 	d.mu.Unlock()
-	u := &wire.UtilUpdate{Machine: d.machine, Seq: seq}
+	u := &d.upd
+	u.Machine, u.Seq, u.Entries, u.Trace = d.machine, seq, u.Entries[:0], wire.TraceContext{}
 	for src, v := range utils {
 		u.Entries = append(u.Entries, wire.UtilEntry{Source: src, Util: v})
 	}
@@ -233,12 +242,12 @@ func (d *Daemon) sampleSingle() error {
 		}()
 	}
 	d.record(utils)
-	buf, err := wire.MarshalUtilUpdate(u)
+	d.buf, err = wire.AppendUtilUpdate(d.buf[:0], u)
 	if err != nil {
 		d.errs.Add(1)
 		return fmt.Errorf("monitord: %w", err)
 	}
-	if err := d.client.Send(buf); err != nil {
+	if err := d.client.Send(d.buf); err != nil {
 		d.errs.Add(1)
 		return fmt.Errorf("monitord: %w", err)
 	}

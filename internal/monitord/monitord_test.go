@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -88,6 +89,52 @@ func TestSampleOnceSendsSequencedUpdates(t *testing.T) {
 			}
 		case <-time.After(2 * time.Second):
 			t.Fatalf("update %d never arrived", want)
+		}
+	}
+}
+
+// TestSampleOnceConcurrent calls SampleOnce from several goroutines
+// at once: the reused encode buffer and update struct must still yield
+// one intact datagram per call, each with its own sequence number.
+func TestSampleOnceConcurrent(t *testing.T) {
+	addr, ch := captureServer(t)
+	synth := procfs.NewSynthetic(model.UtilCPU, model.UtilDisk)
+	synth.Set(model.UtilCPU, 0.25)
+	synth.Set(model.UtilDisk, 0.5)
+	d, err := New(Config{Machine: "machine1", Sampler: synth, SolverAddr: addr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	const workers, each = 4, 10
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if err := d.SampleOnce(); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	seen := map[uint32]bool{}
+	for len(seen) < workers*each {
+		select {
+		case u := <-ch:
+			if seen[u.Seq] || u.Seq == 0 || u.Seq > workers*each {
+				t.Fatalf("duplicate or out-of-range seq %d", u.Seq)
+			}
+			seen[u.Seq] = true
+			if u.Machine != "machine1" || len(u.Entries) != 2 ||
+				u.Entries[0] != (wire.UtilEntry{Source: model.UtilCPU, Util: 0.25}) ||
+				u.Entries[1] != (wire.UtilEntry{Source: model.UtilDisk, Util: 0.5}) {
+				t.Fatalf("corrupted update %+v", u)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("received %d of %d updates", len(seen), workers*each)
 		}
 	}
 }

@@ -442,12 +442,15 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The request trace streams one second at a time into one reused
+	// batch; the arrivals are GenerateWeb's, draw for draw.
 	peak := float64(cfg.Machines) * 0.7 / webcluster.Config{}.MeanCPUPerRequest(0.3)
-	reqs := workload.GenerateWeb(workload.WebConfig{
+	reqs := workload.NewWebStream(workload.WebConfig{
 		Duration: cfg.Duration,
 		PeakRPS:  peak,
 		Seed:     cfg.Seed,
 	})
+	var batch []workload.Request
 
 	var ops []fiddle.TimedOp
 	if cfg.Script != "" {
@@ -608,7 +611,7 @@ func Run(cfg Config) (*Result, error) {
 	secs := int(cfg.Duration / time.Second)
 
 	res := &Result{Machines: names, MaxCPUTemp: map[string]units.Celsius{}, Adjustments: map[string]int{}}
-	reqIdx, opIdx := 0, 0
+	opIdx := 0
 	for sec := 0; sec < secs; sec++ {
 		// The harness's work for second sec happens at t = sec+0.5,
 		// before any daemon has observed the second.
@@ -619,21 +622,12 @@ func Run(cfg Config) (*Result, error) {
 			}
 			opIdx++
 		}
-		limit := now + time.Second
-		var batch []workload.Request
-		for reqIdx < len(reqs) && reqs[reqIdx].At < limit {
-			batch = append(batch, reqs[reqIdx])
-			reqIdx++
-		}
-		wc.TickSecond(batch)
+		batch = reqs.AppendUntil(batch[:0], now+time.Second)
+		tick := wc.TickSecond(batch)
 		for _, m := range names {
-			utils, err := wc.Utilizations(m)
-			if err != nil {
-				return nil, err
-			}
-			for src, u := range utils {
-				synths[m].Set(src, u)
-			}
+			st := tick.PerServer[m]
+			synths[m].Set(model.UtilCPU, st.CPUUtil)
+			synths[m].Set(model.UtilDisk, st.DiskUtil)
 		}
 
 		// t -> sec+1.0: monitord reports the second's utilizations —

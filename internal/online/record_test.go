@@ -1,6 +1,7 @@
 package online_test
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -121,5 +122,49 @@ func TestOnlineRecordShardedRejected(t *testing.T) {
 	_, err := online.Run(online.Config{Duration: 10 * time.Second, Shards: 2, Record: t.TempDir()})
 	if err == nil {
 		t.Fatal("sharded run accepted Config.Record")
+	}
+}
+
+// TestOnlineRecordUtilStamps pins the lockstep stamp of every captured
+// utilization record on a 16-machine batched room at full parallelism:
+// monitord's report s is applied after s-1 solver steps, so its UTL
+// record must carry tick s-1 exactly. solverd counts a report only
+// after recording it, so the harness cannot advance the clock (and the
+// solver step) between the apply and the stamp.
+func TestOnlineRecordUtilStamps(t *testing.T) {
+	if testing.Short() {
+		t.Skip("five 600s 16-machine runs; skipped in -short")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(runtime.NumCPU()))
+	for run := 0; run < 5; run++ {
+		res, err := online.Run(online.Config{
+			Machines: 16,
+			Seed:     int64(run + 1),
+			Duration: 600 * time.Second,
+			Script:   online.Fig11Script,
+			Batch:    true,
+			Record:   t.TempDir(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		log, err := recordlog.ReadLog(res.RecordPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		utils := 0
+		for _, in := range log.Inputs {
+			u := in.Util
+			if u == nil {
+				continue
+			}
+			utils++
+			if u.Seq == 0 || in.Tick != uint64(u.Seq)-1 || u.Tick != in.Tick {
+				t.Fatalf("run %d: %s report %d stamped tick %d, want %d", run, u.Machine, u.Seq, in.Tick, u.Seq-1)
+			}
+		}
+		if utils != 16*600 {
+			t.Fatalf("run %d: captured %d util records, want %d", run, utils, 16*600)
+		}
 	}
 }

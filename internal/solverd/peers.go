@@ -263,9 +263,9 @@ func (s *Server) handleUtilBatch(buf []byte) {
 		s.stats.Malformed.Add(1)
 		return
 	}
-	s.stats.UtilBatches.Add(1)
 	for i := range b.Reports {
 		r := &b.Reports[i]
 		s.applyUtil(r.Machine, r.Seq, r.Entries, b.Trace)
 	}
+	s.stats.UtilBatches.Add(1)
 }

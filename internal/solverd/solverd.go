@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -92,6 +93,10 @@ type Server struct {
 
 	mu      sync.Mutex
 	lastSeq map[string]uint32
+
+	// upd is the decode target of every standalone utilization update,
+	// reused across datagrams; only the Serve goroutine touches it.
+	upd wire.UtilUpdate
 
 	stopTick chan struct{}
 	tickWG   sync.WaitGroup
@@ -383,7 +388,7 @@ func (s *Server) StartTicker() {
 func (s *Server) Serve() error {
 	buf := make([]byte, 2048)
 	for {
-		n, peer, err := s.conn.ReadFromUDP(buf)
+		n, peer, err := s.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			if errors.Is(err, net.ErrClosed) {
 				return nil
@@ -410,7 +415,7 @@ func (s *Server) LastSeq(machine string) uint32 {
 	return s.lastSeq[machine]
 }
 
-func (s *Server) handle(buf []byte, peer *net.UDPAddr) {
+func (s *Server) handle(buf []byte, peer netip.AddrPort) {
 	typ, err := wire.Type(buf)
 	if err != nil {
 		s.stats.Malformed.Add(1)
@@ -434,17 +439,17 @@ func (s *Server) handle(buf []byte, peer *net.UDPAddr) {
 	}
 }
 
-func (s *Server) reply(peer *net.UDPAddr, buf []byte) {
+func (s *Server) reply(peer netip.AddrPort, buf []byte) {
 	if buf == nil {
 		return
 	}
 	// Replies are best-effort; UDP clients time out and retry.
-	_, _ = s.conn.WriteToUDP(buf, peer)
+	_, _ = s.conn.WriteToUDPAddrPort(buf, peer)
 }
 
 func (s *Server) handleUtil(buf []byte) {
-	u, err := wire.UnmarshalUtilUpdate(buf)
-	if err != nil {
+	u := &s.upd
+	if err := wire.DecodeUtilUpdate(buf, u); err != nil {
 		s.stats.Malformed.Add(1)
 		return
 	}
@@ -454,6 +459,11 @@ func (s *Server) handleUtil(buf []byte) {
 // applyUtil installs one machine's utilization report — the shared path
 // behind standalone updates and batched reports, so both get identical
 // dedupe, counting and tracing.
+//
+// UtilUpdates is bumped last, after the recorder and the apply span
+// have read SolverSteps: a lockstep harness that waits on the counter
+// and then advances the clock can no longer step the solver between
+// the apply and its stamps.
 func (s *Server) applyUtil(machine string, seq uint32, entries []wire.UtilEntry, tc wire.TraceContext) {
 	s.mu.Lock()
 	last, seen := s.lastSeq[machine]
@@ -478,7 +488,6 @@ func (s *Server) applyUtil(machine string, seq uint32, entries []wire.UtilEntry,
 			s.stats.Malformed.Add(1)
 		}
 	}
-	s.stats.UtilUpdates.Add(1)
 	if s.rec != nil {
 		// Stamped with the current tick: the update influences step
 		// tick+1, which is when replay re-applies it.
@@ -495,6 +504,7 @@ func (s *Server) applyUtil(machine string, seq uint32, entries []wire.UtilEntry,
 			Step:    s.stats.SolverSteps.Load(),
 		})
 	}
+	s.stats.UtilUpdates.Add(1)
 }
 
 func (s *Server) handleSensor(buf []byte) []byte {

@@ -83,11 +83,40 @@ type server struct {
 	name  string
 	on    bool
 	speed float64 // service-rate factor (1 = nominal); DVFS emulation
+	// queue[head:] is the FIFO of outstanding requests. Completions
+	// advance head; a push that finds the slice full slides the live
+	// entries back to the front, so steady state reuses one array.
 	queue []pending
+	head  int
 	disk  float64 // disk backlog, seconds
 
 	lastCPU  units.Fraction
 	lastDisk units.Fraction
+
+	// Per-tick state, reset at the start of every TickSecond.
+	tick     ServerTick
+	busyCPU  float64
+	busyDisk float64
+}
+
+// conns is the server's outstanding request count.
+func (s *server) conns() int { return len(s.queue) - s.head }
+
+func (s *server) push(p pending) {
+	if len(s.queue) == cap(s.queue) && s.head > 0 {
+		n := copy(s.queue, s.queue[s.head:])
+		s.queue = s.queue[:n]
+		s.head = 0
+	}
+	s.queue = append(s.queue, p)
+}
+
+func (s *server) pop() {
+	s.head++
+	if s.head == len(s.queue) {
+		s.queue = s.queue[:0]
+		s.head = 0
+	}
 }
 
 // ServerTick is one server's activity during a tick.
@@ -128,10 +157,11 @@ func (t Totals) DropRate() float64 {
 
 // Cluster is the emulated web cluster.
 type Cluster struct {
-	cfg     Config
-	bal     *lvs.Balancer
-	servers map[string]*server
-	order   []string
+	cfg    Config
+	bal    *lvs.Balancer
+	byName map[string]*server
+	// servers is registration order, the order every tick serves in.
+	servers []*server
 	totals  Totals
 }
 
@@ -141,40 +171,55 @@ func New(bal *lvs.Balancer, machines []string, cfg Config) (*Cluster, error) {
 	if len(machines) == 0 {
 		return nil, fmt.Errorf("webcluster: no machines")
 	}
-	c := &Cluster{cfg: cfg.withDefaults(), bal: bal, servers: map[string]*server{}}
+	c := &Cluster{cfg: cfg.withDefaults(), bal: bal, byName: map[string]*server{}}
 	for _, m := range machines {
-		if _, dup := c.servers[m]; dup {
+		if _, dup := c.byName[m]; dup {
 			return nil, fmt.Errorf("webcluster: duplicate machine %q", m)
 		}
 		if err := bal.AddServer(m, 1); err != nil {
 			return nil, err
 		}
-		c.servers[m] = &server{name: m, on: true, speed: 1}
-		c.order = append(c.order, m)
+		s := &server{name: m, on: true, speed: 1}
+		c.byName[m] = s
+		c.servers = append(c.servers, s)
 	}
 	return c, nil
+}
+
+func (c *Cluster) server(name string) (*server, error) {
+	s, ok := c.byName[name]
+	if !ok {
+		return nil, fmt.Errorf("webcluster: unknown machine %q", name)
+	}
+	return s, nil
 }
 
 // Balancer returns the underlying balancer (Freon's control surface).
 func (c *Cluster) Balancer() *lvs.Balancer { return c.bal }
 
 // Machines returns the machine names in registration order.
-func (c *Cluster) Machines() []string { return append([]string(nil), c.order...) }
+func (c *Cluster) Machines() []string {
+	names := make([]string, len(c.servers))
+	for i, s := range c.servers {
+		names[i] = s.name
+	}
+	return names
+}
 
 // Conns returns a server's outstanding request count.
 func (c *Cluster) Conns(name string) (int, error) {
-	s, ok := c.servers[name]
-	if !ok {
-		return 0, fmt.Errorf("webcluster: unknown machine %q", name)
+	s, err := c.server(name)
+	if err != nil {
+		return 0, err
 	}
-	return len(s.queue), nil
+	return s.conns(), nil
 }
 
 // On reports whether a server is powered.
 func (c *Cluster) On(name string) (bool, error) {
-	s, ok := c.servers[name]
-	if !ok {
-		return false, fmt.Errorf("webcluster: unknown machine %q", name)
+	s, err := c.server(name)
+	if err != nil {
+		return false, err
 	}
 	return s.on, nil
 }
@@ -184,9 +229,9 @@ func (c *Cluster) On(name string) (bool, error) {
 // at speed 0.5 needs twice the CPU time per request. Speed must be in
 // (0, 1].
 func (c *Cluster) SetSpeed(name string, speed float64) error {
-	s, ok := c.servers[name]
-	if !ok {
-		return fmt.Errorf("webcluster: unknown machine %q", name)
+	s, err := c.server(name)
+	if err != nil {
+		return err
 	}
 	if speed <= 0 || speed > 1 {
 		return fmt.Errorf("webcluster: speed %v outside (0,1]", speed)
@@ -197,9 +242,9 @@ func (c *Cluster) SetSpeed(name string, speed float64) error {
 
 // Speed returns a server's current service-rate factor.
 func (c *Cluster) Speed(name string) (float64, error) {
-	s, ok := c.servers[name]
-	if !ok {
-		return 0, fmt.Errorf("webcluster: unknown machine %q", name)
+	s, err := c.server(name)
+	if err != nil {
+		return 0, err
 	}
 	return s.speed, nil
 }
@@ -208,20 +253,20 @@ func (c *Cluster) Speed(name string) (float64, error) {
 // outstanding requests (Freon-EC avoids this by quiescing and draining
 // first; the traditional red-line policy does not).
 func (c *Cluster) SetPower(name string, on bool) error {
-	s, ok := c.servers[name]
-	if !ok {
-		return fmt.Errorf("webcluster: unknown machine %q", name)
+	s, err := c.server(name)
+	if err != nil {
+		return err
 	}
 	if s.on == on {
 		return nil
 	}
 	s.on = on
 	if !on {
-		for range s.queue {
+		for range s.conns() {
 			_ = c.bal.Done(name)
 			c.totals.Dropped++
 		}
-		s.queue = nil
+		s.queue, s.head = s.queue[:0], 0
 		s.disk = 0
 		s.lastCPU, s.lastDisk = 0, 0
 	}
@@ -231,9 +276,9 @@ func (c *Cluster) SetPower(name string, on bool) error {
 // Utilizations returns a server's utilizations from the most recent
 // tick, in the shape monitord reports to the solver.
 func (c *Cluster) Utilizations(name string) (map[model.UtilSource]units.Fraction, error) {
-	s, ok := c.servers[name]
-	if !ok {
-		return nil, fmt.Errorf("webcluster: unknown machine %q", name)
+	s, err := c.server(name)
+	if err != nil {
+		return nil, err
 	}
 	return map[model.UtilSource]units.Fraction{
 		model.UtilCPU:  s.lastCPU,
@@ -250,12 +295,10 @@ func (c *Cluster) Totals() Totals { return c.totals }
 // executes that slot's share of CPU and disk service, releasing
 // completed connections at the slot boundary.
 func (c *Cluster) TickSecond(arrivals []workload.Request) Tick {
-	tick := Tick{PerServer: map[string]ServerTick{}}
-	per := map[string]*ServerTick{}
-	busyCPU := map[string]float64{}
-	busyDisk := map[string]float64{}
-	for _, name := range c.order {
-		per[name] = &ServerTick{}
+	var tick Tick
+	for _, s := range c.servers {
+		s.tick = ServerTick{}
+		s.busyCPU, s.busyDisk = 0, 0
 	}
 
 	slots := c.cfg.SlotsPerSecond
@@ -268,6 +311,8 @@ func (c *Cluster) TickSecond(arrivals []workload.Request) Tick {
 		}
 		return s
 	}
+	static := pending{cpuLeft: c.cfg.StaticCPU.Seconds(), disk: c.cfg.StaticDisk.Seconds()}
+	dynamic := pending{cpuLeft: c.cfg.DynamicCPU.Seconds(), dynamic: true}
 
 	idx := 0
 	for slot := 0; slot < slots; slot++ {
@@ -277,9 +322,9 @@ func (c *Cluster) TickSecond(arrivals []workload.Request) Tick {
 			idx++
 			tick.Arrived++
 			c.totals.Arrived++
-			class := ClassStatic
+			class, p := ClassStatic, static
 			if req.Dynamic {
-				class = ClassDynamic
+				class, p = ClassDynamic, dynamic
 			}
 			name, err := c.bal.AssignClass(class)
 			if err != nil {
@@ -287,70 +332,64 @@ func (c *Cluster) TickSecond(arrivals []workload.Request) Tick {
 				c.totals.Dropped++
 				continue
 			}
-			s := c.servers[name]
-			if !s.on || len(s.queue) >= c.cfg.QueueCap {
+			s := c.byName[name]
+			if !s.on || s.conns() >= c.cfg.QueueCap {
 				// Powered-off servers should be quiesced or
 				// zero-weighted; if one is still picked, or the queue
 				// is full, refuse.
 				_ = c.bal.Done(name)
 				tick.Dropped++
 				c.totals.Dropped++
-				per[name].Dropped++
+				s.tick.Dropped++
 				continue
 			}
-			p := pending{cpuLeft: c.cfg.StaticCPU.Seconds(), disk: c.cfg.StaticDisk.Seconds()}
-			if req.Dynamic {
-				p = pending{cpuLeft: c.cfg.DynamicCPU.Seconds(), dynamic: true}
-			}
-			s.queue = append(s.queue, p)
-			per[name].Assigned++
+			s.push(p)
+			s.tick.Assigned++
 		}
 
 		// Serve one sub-slot on every powered server.
-		for _, name := range c.order {
-			s := c.servers[name]
+		for _, s := range c.servers {
 			if !s.on {
 				continue
 			}
-			st := per[name]
 			budget := slotDur * s.speed
-			for len(s.queue) > 0 && budget > 0 {
-				head := &s.queue[0]
+			for s.conns() > 0 && budget > 0 {
+				head := &s.queue[s.head]
 				if head.cpuLeft <= budget {
 					budget -= head.cpuLeft
 					s.disk += head.disk
 					if head.dynamic {
-						st.CompletedDynamic++
+						s.tick.CompletedDynamic++
 					}
-					s.queue = s.queue[1:]
-					st.Completed++
+					s.pop()
+					s.tick.Completed++
 					c.totals.Completed++
 					tick.Completed++
-					_ = c.bal.Done(name)
+					_ = c.bal.Done(s.name)
 				} else {
 					head.cpuLeft -= budget
 					budget = 0
 				}
 			}
-			busyCPU[name] += (slotDur*s.speed - budget) / s.speed
+			s.busyCPU += (slotDur*s.speed - budget) / s.speed
 
 			diskServed := s.disk
 			if diskServed > slotDur {
 				diskServed = slotDur
 			}
 			s.disk -= diskServed
-			busyDisk[name] += diskServed
+			s.busyDisk += diskServed
 		}
 	}
 
-	for _, name := range c.order {
-		s := c.servers[name]
-		st := per[name]
-		st.CPUUtil = units.Fraction(busyCPU[name]).Clamp()
-		st.DiskUtil = units.Fraction(busyDisk[name]).Clamp()
+	tick.PerServer = make(map[string]ServerTick, len(c.servers))
+	for _, s := range c.servers {
+		st := &s.tick
+		st.CPUUtil = units.Fraction(s.busyCPU).Clamp()
+		st.DiskUtil = units.Fraction(s.busyDisk).Clamp()
 		s.lastCPU, s.lastDisk = st.CPUUtil, st.DiskUtil
-		st.Conns = len(s.queue)
-		tick.PerServer[name] = *st
+		st.Conns = s.conns()
+		tick.PerServer[s.name] = *st
 	}
 	return tick
 }

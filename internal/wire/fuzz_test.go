@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"errors"
 	"testing"
 
 	"github.com/darklab/mercury/internal/model"
@@ -67,10 +68,29 @@ func fuzzSeeds(f *testing.F) {
 
 func FuzzUnmarshalUtilUpdate(f *testing.F) {
 	fuzzSeeds(f)
+	// A struct left over from an earlier traced three-entry decode:
+	// decoding into it must agree with a fresh UnmarshalUtilUpdate.
+	dirty, _ := MarshalUtilUpdate(&UtilUpdate{
+		Machine: "machine9", Seq: 99,
+		Entries: []UtilEntry{{model.UtilCPU, 1}, {model.UtilDisk, 1}, {model.UtilNet, 1}},
+		Trace:   TraceContext{Trace: 3, Span: 4},
+	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		u, err := UnmarshalUtilUpdate(data)
+		var reused UtilUpdate
+		if derr := DecodeUtilUpdate(dirty, &reused); derr != nil {
+			t.Fatal(derr)
+		}
+		derr := DecodeUtilUpdate(data, &reused)
+		if !errors.Is(derr, err) {
+			t.Fatalf("DecodeUtilUpdate err %v, UnmarshalUtilUpdate err %v", derr, err)
+		}
 		if err != nil {
 			return
+		}
+		if reused.Machine != u.Machine || reused.Seq != u.Seq || reused.Trace != u.Trace ||
+			!sameEntries(reused.Entries, u.Entries) {
+			t.Fatalf("DecodeUtilUpdate = %+v, UnmarshalUtilUpdate = %+v", reused, *u)
 		}
 		buf, err := MarshalUtilUpdate(u)
 		if err != nil {

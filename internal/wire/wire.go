@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"github.com/darklab/mercury/internal/model"
 	"github.com/darklab/mercury/internal/units"
@@ -199,16 +198,23 @@ func (d *decoder) f64() (float64, error) {
 }
 
 func (d *decoder) str() (string, error) {
+	b, err := d.bytes()
+	return string(b), err
+}
+
+// bytes decodes a length-prefixed string without copying it out of the
+// datagram.
+func (d *decoder) bytes() ([]byte, error) {
 	n, err := d.byte()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if d.pos+int(n) > len(d.buf) {
-		return "", ErrShort
+		return nil, ErrShort
 	}
-	s := string(d.buf[d.pos : d.pos+int(n)])
+	b := d.buf[d.pos : d.pos+int(n)]
 	d.pos += int(n)
-	return s, nil
+	return b, nil
 }
 
 func header(typ byte) *encoder {
@@ -232,35 +238,36 @@ func traceHeader(typ byte, tc TraceContext) *encoder {
 	return headerVer(VersionTrace, typ)
 }
 
-func checkHeader(buf []byte, typ byte) (*decoder, error) {
+func checkHeader(buf []byte, typ byte) (decoder, error) {
 	d, v, err := checkHeaderVer(buf, typ)
 	if err != nil {
-		return nil, err
+		return d, err
 	}
 	if v != Version {
-		return nil, ErrBadVersion
+		return d, ErrBadVersion
 	}
 	return d, nil
 }
 
 // checkHeaderVer accepts version 1 and 2 datagrams and reports which
 // was seen; messages that never grew a version-2 form keep using
-// checkHeader, which still rejects everything but version 1.
-func checkHeaderVer(buf []byte, typ byte) (*decoder, byte, error) {
-	d := &decoder{buf: buf}
+// checkHeader, which still rejects everything but version 1. The
+// decoder is returned by value so decoding stays on the stack.
+func checkHeaderVer(buf []byte, typ byte) (decoder, byte, error) {
+	d := decoder{buf: buf}
 	v, err := d.byte()
 	if err != nil {
-		return nil, 0, err
+		return d, 0, err
 	}
 	if v != Version && v != VersionTrace {
-		return nil, 0, ErrBadVersion
+		return d, 0, ErrBadVersion
 	}
 	t, err := d.byte()
 	if err != nil {
-		return nil, 0, err
+		return d, 0, err
 	}
 	if t != typ {
-		return nil, 0, ErrBadType
+		return d, 0, ErrBadType
 	}
 	return d, v, nil
 }
@@ -292,75 +299,126 @@ func (d *decoder) trace() (TraceContext, error) {
 // MarshalUtilUpdate encodes an update into exactly UtilUpdateSize
 // bytes. Entries are sorted by source so encoding is deterministic.
 func MarshalUtilUpdate(u *UtilUpdate) ([]byte, error) {
-	entries := append([]UtilEntry(nil), u.Entries...)
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Source < entries[j].Source })
-	e := traceHeader(MsgUtilUpdate, u.Trace)
-	e.str(u.Machine)
-	e.u32(u.Seq)
-	if len(entries) > 8 {
-		return nil, ErrTooManyUtil
+	buf, err := AppendUtilUpdate(make([]byte, 0, UtilUpdateSize), u)
+	if err != nil {
+		return nil, err
 	}
-	e.byte(byte(len(entries)))
+	return buf, nil
+}
+
+// AppendUtilUpdate appends u's UtilUpdateSize-byte datagram to dst and
+// returns the extended slice; on error dst is returned unchanged. The
+// entries are sorted by source into a stack copy (u is not modified),
+// so with enough capacity in dst encoding allocates nothing.
+func AppendUtilUpdate(dst []byte, u *UtilUpdate) ([]byte, error) {
+	if len(u.Entries) > 8 {
+		return dst, ErrTooManyUtil
+	}
+	if len(u.Machine) > 255 {
+		return dst, ErrStringSize
+	}
+	// Stable insertion sort: equal sources keep their input order.
+	var sorted [8]UtilEntry
+	entries := sorted[:len(u.Entries)]
+	copy(entries, u.Entries)
+	for i := 1; i < len(entries); i++ {
+		for j := i; j > 0 && entries[j].Source < entries[j-1].Source; j-- {
+			entries[j], entries[j-1] = entries[j-1], entries[j]
+		}
+	}
 	for _, en := range entries {
-		e.str(string(en.Source))
-		e.f64(float64(en.Util.Clamp()))
+		if len(en.Source) > 255 {
+			return dst, ErrStringSize
+		}
 	}
-	if e.err != nil {
-		return nil, e.err
+
+	start := len(dst)
+	ver := byte(Version)
+	if !u.Trace.Zero() {
+		ver = VersionTrace
+	}
+	dst = append(dst, ver, MsgUtilUpdate, byte(len(u.Machine)))
+	dst = append(dst, u.Machine...)
+	dst = binary.BigEndian.AppendUint32(dst, u.Seq)
+	dst = append(dst, byte(len(entries)))
+	for _, en := range entries {
+		dst = append(dst, byte(len(en.Source)))
+		dst = append(dst, en.Source...)
+		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(float64(en.Util.Clamp())))
 	}
 	limit := UtilUpdateSize
 	if !u.Trace.Zero() {
 		limit = UtilTraceOffset
 	}
-	if len(e.buf) > limit {
-		return nil, fmt.Errorf("wire: utilization update needs %d bytes, limit %d", len(e.buf), limit)
+	if n := len(dst) - start; n > limit {
+		return dst[:start], fmt.Errorf("wire: utilization update needs %d bytes, limit %d", n, limit)
 	}
-	padded := make([]byte, UtilUpdateSize)
-	copy(padded, e.buf)
+	var pad [UtilUpdateSize]byte
+	dst = append(dst, pad[:UtilUpdateSize-(len(dst)-start)]...)
 	if !u.Trace.Zero() {
-		padded[UtilTraceOffset] = TraceFlag
-		binary.BigEndian.PutUint64(padded[UtilTraceOffset+1:], u.Trace.Trace)
-		binary.BigEndian.PutUint64(padded[UtilTraceOffset+9:], u.Trace.Span)
+		tr := dst[start+UtilTraceOffset:]
+		tr[0] = TraceFlag
+		binary.BigEndian.PutUint64(tr[1:], u.Trace.Trace)
+		binary.BigEndian.PutUint64(tr[9:], u.Trace.Span)
 	}
-	return padded, nil
+	return dst, nil
 }
 
 // UnmarshalUtilUpdate decodes an update datagram. Compliant senders
 // always pad to exactly UtilUpdateSize, so any other length is
 // rejected outright.
 func UnmarshalUtilUpdate(buf []byte) (*UtilUpdate, error) {
+	u := &UtilUpdate{}
+	if err := DecodeUtilUpdate(buf, u); err != nil {
+		return nil, err
+	}
+	return u, nil
+}
+
+// DecodeUtilUpdate decodes an update datagram into u, overwriting every
+// field and reusing u.Entries' storage, so a receiver can decode each
+// datagram into one long-lived struct. Known source names are interned
+// and u.Machine is kept when the name is unchanged; in steady state the
+// only allocation is a new machine name. On error u's contents are
+// unspecified.
+func DecodeUtilUpdate(buf []byte, u *UtilUpdate) error {
 	if len(buf) != UtilUpdateSize {
-		return nil, ErrBadSize
+		return ErrBadSize
 	}
 	d, ver, err := checkHeaderVer(buf, MsgUtilUpdate)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	u := &UtilUpdate{}
-	if u.Machine, err = d.str(); err != nil {
-		return nil, err
+	machine, err := d.bytes()
+	if err != nil {
+		return err
+	}
+	if u.Machine != string(machine) {
+		u.Machine = string(machine)
 	}
 	if u.Seq, err = d.u32(); err != nil {
-		return nil, err
+		return err
 	}
 	n, err := d.byte()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if n > 8 {
-		return nil, ErrTooManyUtil
+		return ErrTooManyUtil
 	}
+	u.Entries = u.Entries[:0]
+	u.Trace = TraceContext{}
 	for i := 0; i < int(n); i++ {
-		src, err := d.str()
+		src, err := d.bytes()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		v, err := d.f64()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		u.Entries = append(u.Entries, UtilEntry{
-			Source: model.UtilSource(src),
+			Source: internSource(src),
 			Util:   units.Fraction(v).Clamp(),
 		})
 	}
@@ -371,22 +429,36 @@ func UnmarshalUtilUpdate(buf []byte) (*UtilUpdate, error) {
 		// malformed cases here keeps a corrupted or truncated-payload
 		// datagram from being silently read as traced.
 		if d.pos > UtilTraceOffset {
-			return nil, ErrBadTrace
+			return ErrBadTrace
 		}
 		for _, b := range buf[d.pos:UtilTraceOffset] {
 			if b != 0 {
-				return nil, ErrBadTrace
+				return ErrBadTrace
 			}
 		}
 		if buf[UtilTraceOffset] != TraceFlag {
-			return nil, ErrBadTrace
+			return ErrBadTrace
 		}
-		td := &decoder{buf: buf, pos: UtilTraceOffset + 1}
+		td := decoder{buf: buf, pos: UtilTraceOffset + 1}
 		if u.Trace, err = td.trace(); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return u, nil
+	return nil
+}
+
+// internSource returns the model's constant for a known source name,
+// so decoding the common streams allocates no string.
+func internSource(b []byte) model.UtilSource {
+	switch string(b) {
+	case string(model.UtilCPU):
+		return model.UtilCPU
+	case string(model.UtilDisk):
+		return model.UtilDisk
+	case string(model.UtilNet):
+		return model.UtilNet
+	}
+	return model.UtilSource(b)
 }
 
 // SensorRead asks the solver for one node's emulated temperature. A

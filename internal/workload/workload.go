@@ -163,20 +163,60 @@ func (c WebConfig) Rate(t time.Duration) float64 {
 // GenerateWeb produces the request arrivals via thinning of a Poisson
 // process at the peak rate.
 func GenerateWeb(cfg WebConfig) []Request {
+	return NewWebStream(cfg).AppendUntil(nil, math.MaxInt64)
+}
+
+// WebStream yields GenerateWeb's arrivals incrementally, so a caller
+// stepping one second at a time holds only the current second's
+// requests instead of the whole trace. Concatenating its AppendUntil
+// results, for any sequence of limits, gives exactly GenerateWeb's
+// slice: the random draws happen in the same order.
+type WebStream struct {
+	cfg WebConfig
+	rng *rand.Rand
+	t   float64
+	end float64
+	// next is an arrival already drawn but at or past the last limit.
+	next    Request
+	hasNext bool
+}
+
+// NewWebStream starts the arrival stream of cfg at time 0.
+func NewWebStream(cfg WebConfig) *WebStream {
 	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	var out []Request
-	t := 0.0
-	end := cfg.Duration.Seconds()
-	for {
+	return &WebStream{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), end: cfg.Duration.Seconds()}
+}
+
+// AppendUntil appends every remaining arrival strictly before limit to
+// dst and returns the extended slice.
+func (s *WebStream) AppendUntil(dst []Request, limit time.Duration) []Request {
+	if s.hasNext {
+		if s.next.At >= limit {
+			return dst
+		}
+		dst = append(dst, s.next)
+		s.hasNext = false
+	}
+	// The draw order fixes every trace: the exponential gap at the peak
+	// rate, the thinning draw against Rate, then the content-class
+	// draw. An arrival at or past limit is held for the next call.
+	t, rng, cfg := s.t, s.rng, &s.cfg
+	for t < s.end {
 		t += rng.ExpFloat64() / cfg.PeakRPS
-		if t >= end {
-			return out
+		if t >= s.end {
+			break
 		}
 		at := time.Duration(t * float64(time.Second))
 		if rng.Float64()*cfg.PeakRPS > cfg.Rate(at) {
 			continue // thinned out
 		}
-		out = append(out, Request{At: at, Dynamic: rng.Float64() < cfg.DynamicShare})
+		r := Request{At: at, Dynamic: rng.Float64() < cfg.DynamicShare}
+		if at >= limit {
+			s.next, s.hasNext = r, true
+			break
+		}
+		dst = append(dst, r)
 	}
+	s.t = t
+	return dst
 }

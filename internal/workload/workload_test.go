@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -163,5 +166,79 @@ func TestWebDefaults(t *testing.T) {
 	if cfg.Duration != 2000*time.Second || cfg.PeakRPS != 100 ||
 		cfg.ValleyShare != 0.15 || cfg.DynamicShare != 0.3 {
 		t.Errorf("defaults = %+v", cfg)
+	}
+}
+
+// referenceWeb is GenerateWeb's original single-pass loop, kept as the
+// oracle for the draw order: Exp gap, thinning Float64 against Rate on
+// the truncated Duration, then the dynamic-share Float64.
+func referenceWeb(cfg WebConfig) []Request {
+	cfg = cfg.withDefaults()
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	var out []Request
+	t := 0.0
+	end := cfg.Duration.Seconds()
+	for {
+		t += rng.ExpFloat64() / cfg.PeakRPS
+		if t >= end {
+			return out
+		}
+		at := time.Duration(t * float64(time.Second))
+		if rng.Float64()*cfg.PeakRPS > cfg.Rate(at) {
+			continue
+		}
+		out = append(out, Request{At: at, Dynamic: rng.Float64() < cfg.DynamicShare})
+	}
+}
+
+func TestWebStreamChunksMatchGenerateWeb(t *testing.T) {
+	irregular := []time.Duration{
+		time.Nanosecond, 999 * time.Millisecond, 3 * time.Second, 1500 * time.Millisecond,
+		0, 37 * time.Second, 250 * time.Millisecond, 11 * time.Second,
+	}
+	for _, seed := range []int64{1, 2, 42} {
+		cfg := WebConfig{Duration: 600 * time.Second, PeakRPS: 300, Seed: seed}
+		want := GenerateWeb(cfg)
+		if ref := referenceWeb(cfg); !slices.Equal(want, ref) {
+			t.Fatalf("seed %d: GenerateWeb (%d) differs from the reference loop (%d)", seed, len(want), len(ref))
+		}
+		chunkings := map[string]func(i int) time.Duration{
+			"1s":        func(int) time.Duration { return time.Second },
+			"7s":        func(int) time.Duration { return 7 * time.Second },
+			"irregular": func(i int) time.Duration { return irregular[i%len(irregular)] },
+		}
+		for name, step := range chunkings {
+			s := NewWebStream(cfg)
+			var got, batch []Request
+			limit := time.Duration(0)
+			for i := 0; limit <= cfg.Duration; i++ {
+				limit += step(i)
+				batch = s.AppendUntil(batch[:0], limit)
+				for _, r := range batch {
+					if r.At >= limit {
+						t.Fatalf("seed %d %s: arrival %v at or past limit %v", seed, name, r.At, limit)
+					}
+				}
+				got = append(got, batch...)
+			}
+			if tail := s.AppendUntil(nil, math.MaxInt64); len(tail) != 0 {
+				t.Errorf("seed %d %s: %d arrivals after the trace's end", seed, name, len(tail))
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("seed %d %s: stream gave %d arrivals, GenerateWeb %d", seed, name, len(got), len(want))
+			}
+		}
+	}
+}
+
+func TestWebStreamAppendAllocs(t *testing.T) {
+	s := NewWebStream(WebConfig{Duration: 2000 * time.Second, PeakRPS: 300, Seed: 1})
+	batch := make([]Request, 0, 1024)
+	limit := time.Duration(0)
+	if n := testing.AllocsPerRun(500, func() {
+		limit += time.Second
+		batch = s.AppendUntil(batch[:0], limit)
+	}); n != 0 {
+		t.Errorf("AppendUntil into a reused slice: %v allocs/op, want 0", n)
 	}
 }

@@ -150,12 +150,11 @@ func TestFacadeWebClusterAndFreon(t *testing.T) {
 	}
 	idx := 0
 	for sec := 0; sec < 60; sec++ {
-		var batch []mercury.Request
+		first := idx
 		for idx < len(reqs) && reqs[idx].At < time.Duration(sec+1)*time.Second {
-			batch = append(batch, reqs[idx])
 			idx++
 		}
-		cluster.TickSecond(batch)
+		cluster.TickSecond(reqs[first:idx])
 		sol.Step()
 	}
 	if err := fr.TickPoll(); err != nil {

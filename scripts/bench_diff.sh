@@ -27,10 +27,12 @@
 # silently regress. Baselines recorded before -benchmem simply skip
 # this check.
 #
-# BenchmarkRecordWrite and BenchmarkAlertEval are additionally
-# must-zeros: the flight-recorder write path (docs/recordlog.md) and
-# the alert engine's per-tick evaluation (docs/observability.md) are
-# documented as 0 allocs/op, so the current run is checked on its own —
+# BenchmarkRecordWrite, BenchmarkAlertEval and BenchmarkAppendUtilUpdate
+# are additionally must-zeros: the flight-recorder write path
+# (docs/recordlog.md), the alert engine's per-tick evaluation
+# (docs/observability.md) and the utilization-update encoder
+# (docs/protocol.md) are documented as 0 allocs/op, so the current run
+# is checked on its own —
 # the tripwire holds even before a committed baseline carries the
 # benchmark.
 set -eu
@@ -124,15 +126,15 @@ END {
 }
 ' "$allocstmp" - || echo allocs >> "$failtmp"
 
-# Must-zero tripwire: the flight-recorder write path and the alert
-# engine's per-tick eval have no baseline grace period — any
-# allocation in the current run is flagged.
+# Must-zero tripwire: the flight-recorder write path, the alert
+# engine's per-tick eval and the utilization-update encoder have no
+# baseline grace period — any allocation in the current run is flagged.
 extract_allocs "$cur" | awk -v level="$level" '
-$1 ~ /BenchmarkRecordWrite|BenchmarkAlertEval/ {
+$1 ~ /BenchmarkRecordWrite|BenchmarkAlertEval|BenchmarkAppendUtilUpdate/ {
     checked++
     if ($2 > 0) {
         flagged++
-        printf "::%s::%s allocates %d times/op; this hot path must stay at 0 allocs/op (docs/recordlog.md, docs/observability.md)\n",
+        printf "::%s::%s allocates %d times/op; this hot path must stay at 0 allocs/op (docs/recordlog.md, docs/observability.md, docs/protocol.md)\n",
             level, $1, $2
     }
 }
